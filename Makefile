@@ -11,6 +11,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -65,6 +66,7 @@ fuzz:
 	$(GO) test -fuzz FuzzUnmarshal -fuzztime 30s -run xxx ./internal/transport/
 	$(GO) test -fuzz FuzzBatchDatagrams -fuzztime 30s -run xxx ./internal/transport/
 	$(GO) test -fuzz FuzzReadMessage -fuzztime 30s -run xxx ./internal/transport/
+	$(GO) test -fuzz FuzzParseFrame -fuzztime 30s -run xxx ./internal/transport/
 	$(GO) test -fuzz FuzzRead -fuzztime 30s -run xxx ./internal/trace/
 	$(GO) test -fuzz FuzzParseFrame -fuzztime 30s -run xxx ./internal/live/
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 30s -run xxx ./internal/live/

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"log"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -97,12 +99,21 @@ func (d *daemonAdmission) register(mux *http.ServeMux) {
 	mux.HandleFunc("/admission/streams", d.handleStreams)
 }
 
+// writeJSON encodes v before committing the status line, so a value that
+// cannot be encoded answers 500 with a JSON error body instead of a
+// success status followed by a truncated body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		_ = json.NewEncoder(&buf).Encode(map[string]string{"error": "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // jsonError answers a malformed or rejected request with a JSON body —
@@ -123,6 +134,17 @@ func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	return false
 }
 
+// parseMbps parses a requested rate, accepting only finite values above
+// zero: NaN or ±Inf would poison the admission CDF arithmetic and make the
+// admitted-stream listing unencodable.
+func parseMbps(s string) (float64, bool) {
+	mbps, err := strconv.ParseFloat(s, 64)
+	if err != nil || math.IsNaN(mbps) || math.IsInf(mbps, 0) || mbps <= 0 {
+		return 0, false
+	}
+	return mbps, true
+}
+
 // handleAdmit parses a spec from query parameters and runs the admission
 // test. kind=besteffort admits unconditionally; otherwise mbps (and
 // optionally p, the guarantee probability, default 0.95) describe a
@@ -139,13 +161,18 @@ func (d *daemonAdmission) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if q.Get("kind") == "besteffort" {
 		spec.Kind = stream.BestEffort
-		if mbps, err := strconv.ParseFloat(q.Get("mbps"), 64); err == nil {
+		if q.Has("mbps") {
+			mbps, ok := parseMbps(q.Get("mbps"))
+			if !ok {
+				jsonError(w, http.StatusBadRequest, "invalid mbps parameter (want a finite rate > 0)")
+				return
+			}
 			spec.RequiredMbps = mbps
 		}
 	} else {
-		mbps, err := strconv.ParseFloat(q.Get("mbps"), 64)
-		if err != nil || mbps <= 0 {
-			jsonError(w, http.StatusBadRequest, "missing or invalid mbps parameter")
+		mbps, ok := parseMbps(q.Get("mbps"))
+		if !ok {
+			jsonError(w, http.StatusBadRequest, "missing or invalid mbps parameter (want a finite rate > 0)")
 			return
 		}
 		spec.Kind = stream.Probabilistic
@@ -153,7 +180,7 @@ func (d *daemonAdmission) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		spec.Probability = 0.95
 		if ps := q.Get("p"); ps != "" {
 			p, err := strconv.ParseFloat(ps, 64)
-			if err != nil || p <= 0 || p >= 1 {
+			if err != nil || !(p > 0 && p < 1) { // also rejects NaN
 				jsonError(w, http.StatusBadRequest, "invalid p parameter (want 0 < p < 1)")
 				return
 			}

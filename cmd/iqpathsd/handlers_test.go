@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -79,6 +80,56 @@ func TestAdmitHandlerErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAdmitRejectsNonFiniteMbps is the regression test for non-finite
+// rates: mbps=NaN used to pass the "mbps <= 0" check, answer 200 with an
+// empty body (the decision held a NaN json cannot encode), and leave an
+// admitted NaN stream that broke every later /admission/streams listing.
+func TestAdmitRejectsNonFiniteMbps(t *testing.T) {
+	_, mux := testSink(t, 1)
+	for _, mbps := range []string{"NaN", "%2BInf", "-Inf", "-1", "0"} {
+		for _, kind := range []string{"", "&kind=besteffort"} {
+			target := "/admission/admit?name=x&mbps=" + mbps + kind
+			w := do(mux, http.MethodPost, target, nil)
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("%s: status = %d, want 400\n%s", target, w.Code, w.Body.String())
+			}
+			if msg := decodeError(t, w); !strings.Contains(msg, "mbps") {
+				t.Fatalf("%s: error %q does not mention mbps", target, msg)
+			}
+		}
+	}
+	if w := do(mux, http.MethodPost, "/admission/admit?name=x&mbps=5&p=NaN", nil); w.Code != http.StatusBadRequest {
+		t.Fatalf("p=NaN: status = %d, want 400", w.Code)
+	}
+	// A best-effort stream without a rate is still admitted.
+	if w := do(mux, http.MethodPost, "/admission/admit?name=be&kind=besteffort", nil); w.Code != http.StatusOK {
+		t.Fatalf("best effort without mbps: status = %d\n%s", w.Code, w.Body.String())
+	}
+	w := do(mux, http.MethodGet, "/admission/streams", nil)
+	var specs []struct{ Name string }
+	if w.Code != http.StatusOK {
+		t.Fatalf("streams status = %d", w.Code)
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &specs); err != nil {
+		t.Fatalf("streams body not decodable: %v\n%s", err, w.Body.String())
+	}
+	if len(specs) != 1 || specs[0].Name != "be" {
+		t.Fatalf("streams = %s, want only the best-effort stream", w.Body.String())
+	}
+}
+
+// TestWriteJSONUnencodable checks the status is chosen after encoding: a
+// value json cannot represent answers 500 with a JSON error body, never a
+// success status with an empty body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	w := httptest.NewRecorder()
+	writeJSON(w, http.StatusOK, map[string]float64{"rate": math.NaN()})
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", w.Code)
+	}
+	decodeError(t, w)
 }
 
 func TestAdmitReleaseFlow(t *testing.T) {

@@ -21,9 +21,9 @@ type fakePath struct {
 	sent []*simnet.Packet
 }
 
-func (f *fakePath) ID() int              { return f.id }
-func (f *fakePath) Name() string         { return f.name }
-func (f *fakePath) QueuedPackets() int   { return 0 }
+func (f *fakePath) ID() int            { return f.id }
+func (f *fakePath) Name() string       { return f.name }
+func (f *fakePath) QueuedPackets() int { return 0 }
 func (f *fakePath) Send(p *simnet.Packet) bool {
 	f.mu.Lock()
 	f.sent = append(f.sent, p)

@@ -20,8 +20,8 @@ type benchSink struct {
 	sent uint64
 }
 
-func (p *benchSink) ID() int                      { return p.id }
-func (p *benchSink) Name() string                 { return p.name }
+func (p *benchSink) ID() int      { return p.id }
+func (p *benchSink) Name() string { return p.name }
 func (p *benchSink) Send(pkt *simnet.Packet) bool {
 	p.sent++
 	// Mirror transport.Path's writer: once the packet is "on the wire" the
@@ -29,7 +29,7 @@ func (p *benchSink) Send(pkt *simnet.Packet) bool {
 	simnet.ReleasePacket(pkt)
 	return true
 }
-func (p *benchSink) QueuedPackets() int           { return 0 }
+func (p *benchSink) QueuedPackets() int { return 0 }
 
 type liveScaleBench struct {
 	d     *Driver

@@ -17,6 +17,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -118,18 +119,22 @@ type Relay struct {
 	start  time.Time
 
 	mu     sync.Mutex
-	flows  map[string]*relayFlow
+	flows  map[netip.AddrPort]*relayFlow
 	stats  Stats
 	rng    *rand.Rand
 	closed bool
 
 	queue chan queuedDatagram
-	done  chan struct{}
-	wg    sync.WaitGroup
+	// readDone closes when readLoop has exited: nothing enters the queue
+	// after that. done then stops the pacer, whose final drain is
+	// therefore the last word on every queued buffer.
+	readDone chan struct{}
+	done     chan struct{}
+	wg       sync.WaitGroup // paceLoop and the reverse loops
 }
 
 type relayFlow struct {
-	client *net.UDPAddr
+	client netip.AddrPort
 	out    *net.UDPConn
 }
 
@@ -177,12 +182,14 @@ func NewRelay(listenAddr, target string, shape LinkShape, seed int64) (*Relay, e
 		bc:     bc,
 		target: taddr,
 		start:  time.Now(),
-		flows:  map[string]*relayFlow{},
+		flows:  map[netip.AddrPort]*relayFlow{},
 		rng:    rand.New(rand.NewSource(seed)),
 		queue:  make(chan queuedDatagram, shape.QueuePackets),
-		done:   make(chan struct{}),
+
+		readDone: make(chan struct{}),
+		done:     make(chan struct{}),
 	}
-	r.wg.Add(2)
+	r.wg.Add(1)
 	go r.readLoop()
 	go r.paceLoop()
 	return r, nil
@@ -199,7 +206,10 @@ func (r *Relay) Stats() Stats {
 	return r.stats
 }
 
-// Close stops the relay and its per-flow sockets.
+// Close stops the relay and its per-flow sockets. The inbound socket
+// closes first and readLoop is waited for before the pacer stops, so no
+// datagram can be admitted after the pacer's final drain (which would
+// strand its pooled buffer).
 func (r *Relay) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -212,8 +222,9 @@ func (r *Relay) Close() error {
 		flows = append(flows, f)
 	}
 	r.mu.Unlock()
-	close(r.done)
 	err := r.in.Close()
+	<-r.readDone
+	close(r.done)
 	for _, f := range flows {
 		f.out.Close()
 	}
@@ -229,7 +240,7 @@ func (r *Relay) now() float64 { return time.Since(r.start).Seconds() }
 // striping burst arriving while the pacer holds the link costs one
 // syscall, not one per datagram.
 func (r *Relay) readLoop() {
-	defer r.wg.Done()
+	defer close(r.readDone)
 	dgs := make([]transport.Datagram, relayBatch)
 	bufs := make([]*transport.WireBuf, relayBatch)
 	for i := range dgs {
@@ -255,7 +266,7 @@ func (r *Relay) readLoop() {
 // admit runs one datagram through loss and queue admission, copying the
 // survivors into their own pooled buffer (the receive buffers are reused
 // by the next ReadBatch).
-func (r *Relay) admit(data []byte, from *net.UDPAddr) {
+func (r *Relay) admit(data []byte, from netip.AddrPort) {
 	flow, err := r.flowFor(from)
 	if err != nil {
 		return
@@ -330,10 +341,9 @@ const datagramIPOverhead = 28
 
 // flowFor returns (creating if needed) the per-client flow, whose
 // outbound socket also carries the unshaped reverse direction.
-func (r *Relay) flowFor(from *net.UDPAddr) (*relayFlow, error) {
-	key := from.String()
+func (r *Relay) flowFor(from netip.AddrPort) (*relayFlow, error) {
 	r.mu.Lock()
-	if f, ok := r.flows[key]; ok {
+	if f, ok := r.flows[from]; ok {
 		r.mu.Unlock()
 		return f, nil
 	}
@@ -351,12 +361,12 @@ func (r *Relay) flowFor(from *net.UDPAddr) (*relayFlow, error) {
 		out.Close()
 		return nil, net.ErrClosed
 	}
-	if existing, ok := r.flows[key]; ok { // lost the race
+	if existing, ok := r.flows[from]; ok { // lost the race
 		r.mu.Unlock()
 		out.Close()
 		return existing, nil
 	}
-	r.flows[key] = f
+	r.flows[from] = f
 	r.mu.Unlock()
 
 	r.wg.Add(1)
@@ -373,7 +383,7 @@ func (r *Relay) reverseLoop(f *relayFlow) {
 		if err != nil {
 			return // flow socket closed
 		}
-		if _, err := r.in.WriteToUDP(buf[:n], f.client); err != nil {
+		if _, err := r.in.WriteToUDPAddrPort(buf[:n], f.client); err != nil {
 			return
 		}
 		r.mu.Lock()

@@ -3,8 +3,11 @@ package testbed
 import (
 	"math"
 	"net"
+	"sync"
 	"testing"
 	"time"
+
+	"iqpaths/internal/transport"
 )
 
 func TestAvailMbps(t *testing.T) {
@@ -111,7 +114,14 @@ func TestRelayForwardsBothDirections(t *testing.T) {
 			t.Fatalf("echo %d: got %v", i, buf[:n])
 		}
 	}
+	// The relay counts a datagram after its write returns, so the client
+	// can read the last echo before the counter moves: wait for it.
+	deadline := time.Now().Add(time.Second)
 	st := r.Stats()
+	for (st.Forwarded != 10 || st.Returned != 10) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		st = r.Stats()
+	}
 	if st.Forwarded != 10 || st.Returned != 10 {
 		t.Fatalf("stats %+v, want 10 forwarded and returned", st)
 	}
@@ -176,5 +186,54 @@ func TestRelayLoss(t *testing.T) {
 	}
 	if st := r.Stats(); st.Lost == 0 || st.Forwarded != 0 {
 		t.Fatalf("stats %+v, want all lost", st)
+	}
+}
+
+// TestRelayCloseReturnsWireBuffers is the regression test for the pooled
+// buffer leak at shutdown: Close used to stop the pacer before the inbound
+// socket, so a datagram readLoop admitted after the pacer's final drain
+// stayed queued with its wire buffer never released. A sender keeps the
+// relay's read loop busy while Close runs; afterwards every wire buffer
+// must be back in the pool.
+func TestRelayCloseReturnsWireBuffers(t *testing.T) {
+	echo, closeEcho := echoServer(t)
+	defer closeEcho()
+	base := transport.WireOutstanding()
+	for iter := 0; iter < 30; iter++ {
+		// A slow link keeps the shaping queue occupied, so the pacer's
+		// final drain and late admissions overlap.
+		r, err := NewRelay("127.0.0.1:0", echo, LinkShape{CapacityMbps: 1}, int64(iter))
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, err := net.Dial("udp", r.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			payload := make([]byte, 512)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_, _ = client.Write(payload) // errors once the relay is gone
+			}
+		}()
+		time.Sleep(2 * time.Millisecond)
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		wg.Wait()
+		client.Close()
+		if got := transport.WireOutstanding(); got != base {
+			t.Fatalf("iter %d: %d wire buffers outstanding after Close, want %d", iter, got, base)
+		}
 	}
 }

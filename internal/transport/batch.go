@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -23,13 +24,14 @@ import (
 // slices and be recycled by whoever owns them next.
 
 // Datagram is one datagram of a batched socket operation. For writes, Buf
-// is the full wire image and Addr the destination (nil on a connected
-// socket). For reads, Buf is the receive buffer, and the call fills N
-// (payload length) and Addr (source).
+// is the full wire image and Addr the destination (the zero AddrPort on a
+// connected socket). For reads, Buf is the receive buffer, and the call
+// fills N (payload length) and Addr (source). Addr is a value, so neither
+// direction allocates per datagram.
 type Datagram struct {
 	Buf  []byte
 	N    int
-	Addr *net.UDPAddr
+	Addr netip.AddrPort
 }
 
 // BatchStats counts a BatchConn's syscalls and datagrams per direction —
@@ -122,11 +124,12 @@ func (bc *BatchConn) ReadBatch(dgs []Datagram) (int, error) {
 	if bc.Batched() {
 		return bc.readBatchMMsg(dgs)
 	}
-	n, addr, err := bc.c.ReadFromUDP(dgs[0].Buf)
+	n, addr, err := bc.c.ReadFromUDPAddrPort(dgs[0].Buf)
 	if err != nil {
 		return 0, err
 	}
-	dgs[0].N, dgs[0].Addr = n, addr
+	// Unmapped like getSockaddr, so both paths key a peer identically.
+	dgs[0].N, dgs[0].Addr = n, netip.AddrPortFrom(addr.Addr().Unmap(), addr.Port())
 	bc.readCalls.Add(1)
 	bc.readDgrams.Add(1)
 	return 1, nil
@@ -145,8 +148,8 @@ func (bc *BatchConn) WriteBatch(dgs []Datagram) (int, error) {
 	}
 	for i := range dgs {
 		var err error
-		if dgs[i].Addr != nil {
-			_, err = bc.c.WriteToUDP(dgs[i].Buf, dgs[i].Addr)
+		if dgs[i].Addr.IsValid() {
+			_, err = bc.c.WriteToUDPAddrPort(dgs[i].Buf, dgs[i].Addr)
 		} else {
 			_, err = bc.c.Write(dgs[i].Buf)
 		}

@@ -151,29 +151,65 @@ func (m *Message) appendMarshal(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// Unmarshal parses a datagram produced by Marshal.
+// Unmarshal parses a datagram produced by Marshal into a message that
+// owns its payload.
 func Unmarshal(buf []byte) (*Message, error) {
+	var m Message
+	if err := parseFrame(buf, &m); err != nil {
+		return nil, err
+	}
+	return m.clone(), nil
+}
+
+// parseFrame decodes a datagram into m in place. m.Payload aliases buf
+// (nil when empty), so m is valid only while buf is; clone detaches it.
+// The receive loops parse every datagram this way, so acks, probes and
+// handshake frames never touch the heap.
+func parseFrame(buf []byte, m *Message) error {
 	if len(buf) < headerLen {
-		return nil, fmt.Errorf("%w: short datagram (%d bytes)", ErrBadFrame, len(buf))
+		return fmt.Errorf("%w: short datagram (%d bytes)", ErrBadFrame, len(buf))
 	}
 	if buf[0] != magic[0] || buf[1] != magic[1] {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFrame)
+		return fmt.Errorf("%w: bad magic", ErrBadFrame)
 	}
 	n := binary.LittleEndian.Uint32(buf[24:])
 	if int(n) != len(buf)-headerLen {
-		return nil, fmt.Errorf("%w: length %d vs %d", ErrBadFrame, n, len(buf)-headerLen)
+		return fmt.Errorf("%w: length %d vs %d", ErrBadFrame, n, len(buf)-headerLen)
 	}
-	m := &Message{
+	*m = Message{
 		Kind:   buf[2],
 		Stream: binary.LittleEndian.Uint32(buf[4:]),
 		Frame:  binary.LittleEndian.Uint64(buf[8:]),
 		Seq:    binary.LittleEndian.Uint64(buf[16:]),
 	}
 	if n > 0 {
-		m.Payload = make([]byte, n)
-		copy(m.Payload, buf[headerLen:])
+		m.Payload = buf[headerLen:len(buf):len(buf)]
 	}
-	return m, nil
+	return nil
+}
+
+// clone returns a heap copy of m that owns an exact-size copy of its
+// payload. The make+copy pair lets the runtime skip zeroing the new
+// slice, which for bulk payloads is half the cost of the copy.
+func (m *Message) clone() *Message {
+	c := *m
+	if p := m.Payload; len(p) > 0 {
+		b := make([]byte, len(p))
+		copy(b, p)
+		c.Payload = b
+	}
+	return &c
+}
+
+// putHeader writes a payload-less frame (ack, probe, handshake) into buf,
+// which must hold headerLen bytes.
+func putHeader(buf []byte, kind uint8, stream uint32, seq uint64) {
+	_ = buf[headerLen-1]
+	buf[0], buf[1], buf[2], buf[3] = magic[0], magic[1], kind, 0
+	binary.LittleEndian.PutUint32(buf[4:], stream)
+	binary.LittleEndian.PutUint64(buf[8:], 0)
+	binary.LittleEndian.PutUint64(buf[16:], seq)
+	binary.LittleEndian.PutUint32(buf[24:], 0)
 }
 
 // bufferedConn pairs a connection with its buffered reader/writer.

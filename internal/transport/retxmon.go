@@ -1,64 +1,26 @@
 package transport
 
 import (
-	"sync"
 	"time"
 )
 
-// Per-connection retransmit monitor. The old retransmitLoop scanned the
-// entire unacked map every 5 ms, so a connection with a large in-flight
-// window paid O(window) per tick whether or not anything was due. The
-// monitor files every transmitted sequence into a timer wheel keyed by its
-// RTO deadline; each tick touches only the slots whose time has come, so
-// steady-state cost tracks the loss rate, not the window size. Entries are
-// lazy: an acked sequence simply isn't in the unacked map when its slot
-// fires, and a sequence retransmitted early (fast retransmit on dup-acks)
-// re-files itself at its new deadline.
+// Per-connection retransmit monitor. Every retxTick it walks the send
+// window from its lowest sequence and retransmits the packets whose RTO
+// has expired. First transmissions are stamped in sequence order (admit
+// runs under the connection lock), so the walk stops at the first
+// never-retransmitted packet that is not yet due: every later packet was
+// first sent no earlier, or was retransmitted since. Steady-state cost
+// therefore tracks the retransmitted packets in flight, not the window
+// size, and filing a transmission costs nothing at all.
 
-const (
-	// retxTick is the wheel granularity — well under the 20 ms RTO floor,
-	// so a due retransmit fires at most one tick late. The delayed-ack
-	// flush (migrated from the old loop) also rides this cadence.
-	retxTick = 2 * time.Millisecond
-	// retxSlots sets the wheel horizon (retxSlots × retxTick ≈ 1 s);
-	// deadlines beyond it wrap and re-file when their slot fires early.
-	retxSlots = 512
-)
+// retxTick is the monitor's period — well under the 20 ms RTO floor, so a
+// due retransmit fires at most one tick late. The delayed-ack flush also
+// rides this cadence.
+const retxTick = 2 * time.Millisecond
 
-type retxEntry struct {
-	seq uint64
-	due int64 // wall nanoseconds
-}
-
-// retxMonitor is one connection's timer wheel. schedule may be called with
-// the connection lock held (lock order: RUDPConn.mu → retxMonitor.mu);
-// the run loop therefore always drops mon.mu before touching the conn.
-type retxMonitor struct {
-	c *RUDPConn
-
-	mu     sync.Mutex
-	slots  [retxSlots][]retxEntry
-	cursor int64 // last wheel tick index processed
-}
-
-func newRetxMonitor(c *RUDPConn) *retxMonitor {
-	return &retxMonitor{c: c, cursor: time.Now().UnixNano() / int64(retxTick)}
-}
-
-// schedule files seq to fire at due (wall nanoseconds). Safe under c.mu.
-func (mon *retxMonitor) schedule(seq uint64, due int64) {
-	slot := (due / int64(retxTick)) % retxSlots
-	if slot < 0 {
-		slot = 0
-	}
-	mon.mu.Lock()
-	mon.slots[slot] = append(mon.slots[slot], retxEntry{seq: seq, due: due})
-	mon.mu.Unlock()
-}
-
-// run drives the wheel until the connection closes.
-func (mon *retxMonitor) run() {
-	c := mon.c
+// retxLoop drives the delayed-ack flush and the retransmit walk until the
+// connection closes.
+func (c *RUDPConn) retxLoop() {
 	ticker := time.NewTicker(retxTick)
 	defer ticker.Stop()
 	for {
@@ -75,56 +37,27 @@ func (mon *retxMonitor) run() {
 		if flushAck {
 			c.sendAck()
 		}
-		now := time.Now().UnixNano()
-		nowTick := now / int64(retxTick)
-		span := nowTick - mon.cursor
-		if span > retxSlots {
-			// Fell behind a full wheel revolution (suspend, debugger):
-			// every slot is potentially due; one pass covers them all.
-			mon.cursor = nowTick - retxSlots
-		}
-		for mon.cursor < nowTick {
-			mon.cursor++
-			if !mon.fire(mon.cursor % retxSlots) {
-				return // fatal retry ceiling: connection closed
-			}
+		if !c.retransmitDue() {
+			return // fatal retry ceiling: connection closed
 		}
 	}
 }
 
-// fire drains one slot: future entries re-file, due ones retransmit. It
-// reports false when a packet exhausted its retries and the connection
+// retransmitDue retransmits every in-flight packet whose RTO has expired.
+// It reports false when a packet exhausted its retries and the connection
 // was torn down.
-func (mon *retxMonitor) fire(slot int64) bool {
-	mon.mu.Lock()
-	entries := mon.slots[slot]
-	mon.slots[slot] = nil
-	mon.mu.Unlock()
-	if len(entries) == 0 {
-		return true
-	}
-
-	c := mon.c
+func (c *RUDPConn) retransmitDue() bool {
 	rto := c.rtt.RTO()
 	now := time.Now()
-	nowNs := now.UnixNano()
-	var resend [][]byte
+	var resend []Datagram
 	fatal := false
 	c.mu.Lock()
-	for _, e := range entries {
-		if e.due > nowNs {
-			mon.schedule(e.seq, e.due) // wrapped: not due for another lap
-			continue
-		}
-		p, ok := c.unacked[e.seq]
-		if !ok {
-			continue // acked (or the connection reset); entry dies
-		}
-		due := p.sentAt.Add(rto)
-		if now.Before(due) {
-			// Re-sent since this entry was filed (fast retransmit) or the
-			// RTO grew: chase the packet's current deadline.
-			mon.schedule(e.seq, due.UnixNano())
+	for seq := c.lowest; seq < c.nextSeq; seq++ {
+		p := &c.win[seq%rudpWindow]
+		if now.Sub(p.sentAt) < rto {
+			if p.retries == 0 {
+				break // every later packet is due no sooner
+			}
 			continue
 		}
 		p.retries++
@@ -137,8 +70,7 @@ func (mon *retxMonitor) fire(slot int64) bool {
 		// Copy the wire image: the pooled buffer may be released by an ack
 		// racing the write below, and a freed buffer must never reach the
 		// socket.
-		resend = append(resend, append([]byte(nil), p.data...))
-		mon.schedule(e.seq, now.Add(rto).UnixNano())
+		resend = append(resend, Datagram{Buf: append([]byte(nil), p.data...), Addr: c.to})
 	}
 	c.mu.Unlock()
 	if fatal {

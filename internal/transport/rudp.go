@@ -3,13 +3,16 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // RUDP constants.
 const (
-	// rudpWindow is the sender's in-flight window in packets.
+	// rudpWindow is the sender's in-flight window in packets, and the size
+	// of the ring that holds them.
 	rudpWindow = 256
 	// rudpWindowBytes additionally bounds the in-flight payload bytes, so
 	// large-block senders cannot burst past receiver socket buffers (UDP
@@ -35,6 +38,19 @@ var (
 	ctlFin    = []byte("FIN")
 )
 
+// Handshake frames are constant; they are marshaled once and only read.
+var (
+	synFrame    = controlFrame(ctlSyn)
+	synAckFrame = controlFrame(ctlSynAck)
+	finFrame    = controlFrame(ctlFin)
+)
+
+func controlFrame(payload []byte) []byte {
+	b, _ := (&Message{Kind: KindControl, Payload: payload}).Marshal()
+	return b
+}
+
+// pendingPkt is one slot of the send window ring.
 type pendingPkt struct {
 	wb      *WireBuf // pooled backing store of data; released on ack/close
 	data    []byte
@@ -42,7 +58,8 @@ type pendingPkt struct {
 	retries int
 	// writing marks the first transmission in progress outside the lock;
 	// an ack landing meanwhile sets acked and defers the pool release to
-	// the writer, so a buffer never returns to the pool mid-syscall.
+	// the writer, so a buffer never returns to the pool mid-syscall. A
+	// slot still writing is not reused (see windowFull).
 	writing bool
 	acked   bool
 }
@@ -54,8 +71,29 @@ func (p *pendingPkt) retire() {
 		p.acked = true
 		return
 	}
-	ReleaseWire(p.wb)
+	p.release()
 }
+
+// release returns the slot's buffer to the pool and empties the slot.
+func (p *pendingPkt) release() {
+	ReleaseWire(p.wb)
+	*p = pendingPkt{}
+}
+
+// ackDue is what a received frame owes the peer once its read batch ends.
+// Acks for in-order data are deferred to the end of the batch so a burst
+// costs one cumulative ack; out-of-order and duplicate frames are re-acked
+// at once and owe nothing here.
+type ackDue uint8
+
+const (
+	ackNone ackDue = iota
+	// ackDelayed: in-order delivery that stopped short of an ack boundary;
+	// the delayed-ack flush covers it.
+	ackDelayed
+	// ackNow: delivery crossed an ack boundary; one cumulative ack is due.
+	ackNow
+)
 
 // RUDPConn is a reliable, ordered message connection over UDP: sliding
 // window, cumulative acks, Jacobson RTO with exponential backoff, and
@@ -65,32 +103,40 @@ type RUDPConn struct {
 	write func([]byte) error // socket write bound to the peer
 	// writev (optional) transmits several datagrams as one mmsg batch;
 	// nil falls back to per-datagram write calls.
-	writev func([][]byte) error
-	peer   string
-	rtt    *RTTEstimator
-	tm     *connMetrics
-	mon    *retxMonitor
+	writev func([]Datagram) error
+	// to addresses every batched datagram to the peer: the zero AddrPort
+	// on a connected (dialed) socket.
+	to   netip.AddrPort
+	peer string
+	rtt  *RTTEstimator
+	tm   *connMetrics
 
-	mu            sync.Mutex
-	sendCond      *sync.Cond
-	nextSeq       uint64
-	unacked       map[uint64]*pendingPkt
+	mu       sync.Mutex
+	sendCond *sync.Cond
+	nextSeq  uint64
+	lowest   uint64 // lowest unacked seq
+	// win is the send window. The in-flight sequences are always the
+	// contiguous range [lowest, nextSeq), at most rudpWindow of them, and
+	// sequence s lives in win[s%rudpWindow].
+	win           [rudpWindow]pendingPkt
 	inFlightBytes int
-	lowest        uint64 // lowest unacked seq
 	closed        bool
 
 	recvNext uint64
-	ooo      map[uint64]*Message
-	recvQ    chan *Message
+	// ooo buffers frames that cannot be delivered yet: out of order, or
+	// in order while recvQ is full (recvStalled). Buffered frames are not
+	// acked.
+	ooo         map[uint64]*Message
+	recvQ       chan *Message
+	recvStalled atomic.Bool
 	// ackPending marks in-order deliveries that did not reach an ack
-	// boundary; retransmitLoop flushes them as a delayed ack.
+	// boundary; the retransmit monitor flushes them as a delayed ack.
 	ackPending bool
+	lastAck    uint64 // cumulative sequence of the last ack sent
 
 	// stats
 	retransmits     uint64
 	fastRetransmits uint64
-	acksSent        uint64
-	ackedSeq        uint64  // highest cumulatively acknowledged sequence
 	ackedBits       float64 // payload bits confirmed delivered by acks
 	dupAcks         int     // consecutive duplicate cumulative acks
 
@@ -102,6 +148,15 @@ type RUDPConn struct {
 	// the send path.
 	rawMu      sync.RWMutex
 	rawHandler func(*Message)
+
+	// txMu serializes SendBatch callers over txDgs, the batch handed to
+	// writev.
+	txMu  sync.Mutex
+	txDgs []Datagram
+	// ctlMu guards ctlBuf, the scratch payload-less frames (acks, probe
+	// echoes) are encoded into; the write completes before it is reused.
+	ctlMu  sync.Mutex
+	ctlBuf [headerLen]byte
 
 	closeOnce sync.Once
 	closeFn   func()
@@ -115,7 +170,6 @@ func newRUDPConn(peer string, write func([]byte) error, closeFn func()) *RUDPCon
 		rtt:       NewRTTEstimator(0, 0),
 		tm:        acquireConnMetrics(),
 		nextSeq:   1,
-		unacked:   map[uint64]*pendingPkt{},
 		lowest:    1,
 		recvNext:  1,
 		ooo:       map[uint64]*Message{},
@@ -125,21 +179,29 @@ func newRUDPConn(peer string, write func([]byte) error, closeFn func()) *RUDPCon
 		done:      make(chan struct{}),
 	}
 	c.sendCond = sync.NewCond(&c.mu)
-	c.mon = newRetxMonitor(c)
-	go c.mon.run()
+	go c.retxLoop()
 	return c
 }
 
 // writeAll transmits the datagrams, as one batch where the socket supports
 // it. Errors are advisory (retransmission covers losses).
-func (c *RUDPConn) writeAll(datas [][]byte) {
+func (c *RUDPConn) writeAll(dgs []Datagram) {
 	if c.writev != nil {
-		_ = c.writev(datas)
+		_ = c.writev(dgs)
 		return
 	}
-	for _, d := range datas {
-		_ = c.write(d)
+	for i := range dgs {
+		_ = c.write(dgs[i].Buf)
 	}
+}
+
+// sendHeader writes one payload-less frame through ctlBuf, so acks and
+// probe echoes never allocate.
+func (c *RUDPConn) sendHeader(kind uint8, stream uint32, seq uint64) error {
+	c.ctlMu.Lock()
+	defer c.ctlMu.Unlock()
+	putHeader(c.ctlBuf[:], kind, stream, seq)
+	return c.write(c.ctlBuf[:])
 }
 
 // RemoteAddr implements Conn.
@@ -210,19 +272,22 @@ func (c *RUDPConn) WriteRaw(m *Message) error {
 func (c *RUDPConn) InFlight() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.unacked)
+	return int(c.nextSeq - c.lowest)
 }
 
-// windowFull reports whether the send window blocks admission. Callers
-// hold c.mu.
+// windowFull reports whether the send window blocks admission: the ring
+// is full, the byte budget is spent, or the next slot's previous occupant
+// was acked while its first write is still in progress. Callers hold c.mu.
 func (c *RUDPConn) windowFull() bool {
-	return len(c.unacked) >= rudpWindow || c.inFlightBytes >= rudpWindowBytes
+	return c.nextSeq-c.lowest >= rudpWindow || c.inFlightBytes >= rudpWindowBytes ||
+		c.win[c.nextSeq%rudpWindow].writing
 }
 
 // admit marshals m into a pooled buffer, consumes the next sequence
-// number, and registers the packet in the unacked map with its retransmit
-// deadline filed in the timer wheel. Callers hold c.mu and must clear the
-// packet's writing flag (via finishWrite) once the bytes are on the wire.
+// number, and fills its window slot, stamped with the send time the
+// retransmit monitor times its RTO from. Callers hold c.mu, have checked
+// windowFull, and must clear the packet's writing flag (via finishWrite)
+// once the bytes are on the wire.
 func (c *RUDPConn) admit(m *Message) (*pendingPkt, error) {
 	// Marshal before consuming the sequence number: a consumed-but-never-
 	// transmitted seq would leave a permanent hole the receiver's recvNext
@@ -240,22 +305,28 @@ func (c *RUDPConn) admit(m *Message) (*pendingPkt, error) {
 	wb.B = data
 	c.nextSeq++
 	now := time.Now()
-	p := &pendingPkt{wb: wb, data: data, sentAt: now, writing: true}
-	c.unacked[seq] = p
+	p := &c.win[seq%rudpWindow]
+	*p = pendingPkt{wb: wb, data: data, sentAt: now, writing: true}
 	c.inFlightBytes += len(data)
-	c.mon.schedule(seq, now.Add(c.rtt.RTO()).UnixNano())
 	return p, nil
 }
 
-// finishWrite clears the writing marks set by admit, releasing buffers
-// whose acks raced the transmission.
-func (c *RUDPConn) finishWrite(pkts []*pendingPkt) {
+// finishWrite clears the writing marks admit set on the n sequences from
+// first on, releasing buffers whose acks raced the transmission; their
+// slots become reusable, which may reopen a blocked window.
+func (c *RUDPConn) finishWrite(first uint64, n int) {
 	c.mu.Lock()
-	for _, p := range pkts {
+	freed := false
+	for seq := first; seq < first+uint64(n); seq++ {
+		p := &c.win[seq%rudpWindow]
 		p.writing = false
 		if p.acked {
-			ReleaseWire(p.wb)
+			p.release()
+			freed = true
 		}
+	}
+	if freed {
+		c.sendCond.Broadcast()
 	}
 	c.mu.Unlock()
 }
@@ -274,16 +345,18 @@ func (c *RUDPConn) Send(m *Message) error {
 		c.mu.Unlock()
 		return ErrClosed
 	}
+	seq := c.nextSeq
 	p, err := c.admit(m)
 	if err != nil {
 		c.mu.Unlock()
 		return err
 	}
+	data := p.data
 	c.mu.Unlock()
 	c.tm.sent.Inc()
 	c.tm.inFlight.Add(1)
-	werr := c.write(p.data)
-	c.finishWrite([]*pendingPkt{p})
+	werr := c.write(data)
+	c.finishWrite(seq, 1)
 	return werr
 }
 
@@ -294,11 +367,10 @@ func (c *RUDPConn) Send(m *Message) error {
 // while the window is full, so a batch larger than the free window flushes
 // in windowed chunks.
 func (c *RUDPConn) SendBatch(msgs []*Message) error {
-	var datas [][]byte
-	var admitted []*pendingPkt
+	c.txMu.Lock()
+	defer c.txMu.Unlock()
 	i := 0
 	for i < len(msgs) {
-		datas, admitted = datas[:0], admitted[:0]
 		c.mu.Lock()
 		if !c.closed && c.windowFull() {
 			c.tm.sendBlocks.Inc()
@@ -310,6 +382,9 @@ func (c *RUDPConn) SendBatch(msgs []*Message) error {
 			c.mu.Unlock()
 			return ErrClosed
 		}
+		// Admitted sequences are contiguous from first on.
+		first := c.nextSeq
+		dgs := c.txDgs[:0]
 		var aerr error
 		for i < len(msgs) && !c.windowFull() {
 			p, err := c.admit(msgs[i])
@@ -317,15 +392,16 @@ func (c *RUDPConn) SendBatch(msgs []*Message) error {
 				aerr = err
 				break
 			}
-			datas = append(datas, p.data)
-			admitted = append(admitted, p)
+			dgs = append(dgs, Datagram{Buf: p.data, Addr: c.to})
 			i++
 		}
+		c.txDgs = dgs
 		c.mu.Unlock()
-		c.tm.sent.Add(uint64(len(admitted)))
-		c.tm.inFlight.Add(float64(len(admitted)))
-		c.writeAll(datas)
-		c.finishWrite(admitted)
+		c.tm.sent.Add(uint64(len(dgs)))
+		c.tm.inFlight.Add(float64(len(dgs)))
+		c.writeAll(dgs)
+		c.finishWrite(first, len(dgs))
+		clear(dgs) // drop references to buffers the window may recycle
 		if aerr != nil {
 			return aerr
 		}
@@ -333,11 +409,16 @@ func (c *RUDPConn) SendBatch(msgs []*Message) error {
 	return nil
 }
 
-// Recv implements Conn: messages are delivered reliably and in order.
+// Recv implements Conn: messages are delivered reliably and in order. The
+// returned message and its payload are the caller's (garbage-collected,
+// never pooled).
 func (c *RUDPConn) Recv() (*Message, error) {
 	m, ok := <-c.recvQ
 	if !ok {
 		return nil, ErrClosed
+	}
+	if c.recvStalled.Load() {
+		c.resume()
 	}
 	return m, nil
 }
@@ -345,18 +426,17 @@ func (c *RUDPConn) Recv() (*Message, error) {
 // Close implements Conn.
 func (c *RUDPConn) Close() error {
 	c.closeOnce.Do(func() {
-		fin, _ := (&Message{Kind: KindControl, Payload: ctlFin}).Marshal()
-		_ = c.write(fin)
+		_ = c.write(finFrame)
 		c.mu.Lock()
 		c.closed = true
 		// Retire the in-flight gauge contribution of packets that will
-		// never be acked; the map is cleared so a late ack cannot
+		// never be acked; the window is emptied so a late ack cannot
 		// double-decrement, and the pooled wire buffers go home.
-		c.tm.inFlight.Add(-float64(len(c.unacked)))
-		for _, p := range c.unacked {
-			p.retire()
+		c.tm.inFlight.Add(-float64(c.nextSeq - c.lowest))
+		for seq := c.lowest; seq < c.nextSeq; seq++ {
+			c.win[seq%rudpWindow].retire()
 		}
-		c.unacked = map[uint64]*pendingPkt{}
+		c.lowest = c.nextSeq
 		c.inFlightBytes = 0
 		c.sendCond.Broadcast()
 		c.mu.Unlock()
@@ -369,21 +449,24 @@ func (c *RUDPConn) Close() error {
 	return nil
 }
 
-// handle processes one datagram addressed to this connection.
-func (c *RUDPConn) handle(m *Message) {
+// handle processes one datagram addressed to this connection as a read
+// batch of its own, acking at once whatever it makes due.
+func (c *RUDPConn) handle(m *Message) { c.settle(c.receive(m)) }
+
+// receive processes one datagram addressed to this connection and returns
+// the in-order ack it owes once the caller's read batch ends (see settle).
+// m may alias a receive buffer: anything kept past the call is cloned.
+func (c *RUDPConn) receive(m *Message) ackDue {
 	switch m.Kind {
 	case KindAck:
 		c.onAck(m.Seq)
 	case KindData:
-		c.onData(m)
+		return c.onData(m)
 	case KindProbe:
 		if m.Stream == 0 {
 			// Request: echo it back marked as a reply.
-			reply := &Message{Kind: KindProbe, Seq: m.Seq, Stream: 1}
-			if data, err := reply.Marshal(); err == nil {
-				_ = c.write(data)
-			}
-			return
+			_ = c.sendHeader(KindProbe, 1, m.Seq)
+			return ackNone
 		}
 		// Reply: hand the token to a waiting Probe call.
 		select {
@@ -395,20 +478,35 @@ func (c *RUDPConn) handle(m *Message) {
 		fn := c.rawHandler
 		c.rawMu.RUnlock()
 		if fn != nil {
-			fn(m)
+			fn(m.clone())
 		}
 	case KindControl:
 		if string(m.Payload) == string(ctlFin) {
 			_ = c.Close()
-			return
+			return ackNone
 		}
 		// Application control messages travel through Send and carry a
 		// sequence number: they are acked, ordered, and delivered via
 		// Recv exactly like data. Handshake frames (SYN/SYN-ACK, and FIN
 		// above) are marshaled raw with Seq 0 and never reach the app.
 		if m.Seq != 0 {
-			c.onData(m)
+			return c.onData(m)
 		}
+	}
+	return ackNone
+}
+
+// settle discharges the ack a read batch owes: ackNow sends the cumulative
+// ack, ackDelayed arms the delayed-ack flush unless an ack sent during the
+// batch already covers every delivery.
+func (c *RUDPConn) settle(due ackDue) {
+	switch due {
+	case ackNow:
+		c.sendAck()
+	case ackDelayed:
+		c.mu.Lock()
+		c.ackPending = c.recvNext-1 != c.lastAck
+		c.mu.Unlock()
 	}
 }
 
@@ -416,20 +514,21 @@ func (c *RUDPConn) onAck(cum uint64) {
 	var fastResend []byte
 	var acked int
 	c.mu.Lock()
+	if cum >= c.nextSeq {
+		cum = c.nextSeq - 1 // nothing past what was sent can be acked
+	}
 	now := time.Now()
 	for seq := c.lowest; seq <= cum; seq++ {
-		if p, ok := c.unacked[seq]; ok {
-			if p.retries == 0 { // Karn's rule: no RTT from retransmits
-				sample := now.Sub(p.sentAt)
-				c.rtt.Observe(sample)
-				c.tm.rtt.Observe(sample.Seconds())
-			}
-			c.ackedBits += float64(len(p.data)-headerLen) * 8
-			c.inFlightBytes -= len(p.data)
-			delete(c.unacked, seq)
-			p.retire()
-			acked++
+		p := &c.win[seq%rudpWindow]
+		if p.retries == 0 { // Karn's rule: no RTT from retransmits
+			sample := now.Sub(p.sentAt)
+			c.rtt.Observe(sample)
+			c.tm.rtt.Observe(sample.Seconds())
 		}
+		c.ackedBits += float64(len(p.data)-headerLen) * 8
+		c.inFlightBytes -= len(p.data)
+		p.retire()
+		acked++
 	}
 	if cum >= c.lowest {
 		c.lowest = cum + 1
@@ -440,21 +539,19 @@ func (c *RUDPConn) onAck(cum uint64) {
 		// retransmit) instead of waiting out the RTO.
 		c.dupAcks++
 		if c.dupAcks == 3 {
-			if p, ok := c.unacked[c.lowest]; ok {
+			if c.lowest < c.nextSeq {
+				p := &c.win[c.lowest%rudpWindow]
 				p.retries++
 				p.sentAt = now
 				c.retransmits++
 				c.fastRetransmits++
 				// Copy off the pooled buffer: a later ack may release it
 				// before the write below leaves the lock's shadow. The
-				// wheel entry re-files itself against the new sentAt.
+				// monitor times the next RTO from the new sentAt.
 				fastResend = append([]byte(nil), p.data...)
 			}
 			c.dupAcks = 0
 		}
-	}
-	if cum > c.ackedSeq {
-		c.ackedSeq = cum
 	}
 	c.sendCond.Broadcast()
 	c.mu.Unlock()
@@ -468,82 +565,138 @@ func (c *RUDPConn) onAck(cum uint64) {
 	}
 }
 
-func (c *RUDPConn) onData(m *Message) {
+// onData buffers or delivers one sequenced frame. Duplicates and
+// out-of-order frames are re-acked at once, so the sender's duplicate-ack
+// count sees every one of them; in-order progress returns its ack to the
+// read batch.
+func (c *RUDPConn) onData(m *Message) ackDue {
+	cm := m.clone()
 	c.mu.Lock()
-	if m.Seq < c.recvNext {
+	if cm.Seq < c.recvNext {
 		// Duplicate: re-ack so the sender can advance.
 		c.mu.Unlock()
 		c.sendAck()
-		return
+		return ackNone
 	}
-	c.ooo[m.Seq] = m
 	start := c.recvNext
-	delivered := 0
-	for {
-		next, ok := c.ooo[c.recvNext]
-		if !ok {
-			break
+	if cm.Seq == start && len(c.ooo) == 0 {
+		// The common case: the next frame, nothing buffered.
+		if !c.enqueue(cm) {
+			c.ooo[cm.Seq] = cm
+			c.recvStalled.Store(true)
 		}
-		delete(c.ooo, c.recvNext)
-		c.recvNext++
-		delivered++
-		if !c.closed {
-			select {
-			case c.recvQ <- next:
-			default:
-				// Receiver not draining: drop to protect the loop; the
-				// ack already covered it, mirroring a full app buffer.
-			}
+	} else {
+		if _, held := c.ooo[cm.Seq]; !held {
+			c.ooo[cm.Seq] = cm
 		}
+		c.drain()
 	}
-	outOfOrder := delivered == 0
-	// Ack when the delivered batch [start, recvNext) crossed an ack
-	// boundary anywhere — not only when it *ended* on one. A burst of
-	// buffered packets delivering at once can straddle a multiple of
-	// rudpAckEvery without landing on it; checking only the endpoint
-	// skipped those acks.
-	crossed := (c.recvNext-1)/rudpAckEvery > (start-1)/rudpAckEvery
-	ackDue := outOfOrder || crossed
-	if !ackDue && delivered > 0 {
-		// Delayed ack: the final packets of a transfer may never reach a
-		// boundary. Mark them ack-pending so retransmitLoop flushes a
-		// cumulative ack within one ticker period — well inside the
-		// sender's RTO floor — instead of forcing an RTO retransmit and a
-		// duplicate-triggered re-ack.
-		c.ackPending = true
-	}
+	due := c.progress(start)
+	// Behind a full recvQ there is no gap to report: the frame waits
+	// unacked, and the sender's backed-off RTO paces its retries. Duplicate
+	// acks there would trip fast retransmit over and over and burn the
+	// sender's retry budget within one stall.
+	reack := due == ackNone && !c.recvStalled.Load()
 	c.mu.Unlock()
-	if delivered > 0 {
-		c.tm.received.Add(uint64(delivered))
-	}
-	if ackDue {
+	if reack {
 		c.sendAck()
+	}
+	return due
+}
+
+// enqueue hands m, the frame at recvNext, to the application and advances
+// recvNext. It reports false, leaving recvNext alone, when recvQ is full:
+// a frame is acked only once the application's queue holds it. Callers
+// hold c.mu.
+func (c *RUDPConn) enqueue(m *Message) bool {
+	if !c.closed {
+		select {
+		case c.recvQ <- m:
+		default:
+			return false
+		}
+	}
+	c.recvNext++
+	return true
+}
+
+// drain delivers buffered frames from recvNext on until a gap or a full
+// recvQ, and records whether delivery is stalled on the queue. Callers
+// hold c.mu.
+func (c *RUDPConn) drain() {
+	for {
+		seq := c.recvNext
+		m, ok := c.ooo[seq]
+		if !ok {
+			c.recvStalled.Store(false)
+			return
+		}
+		if !c.enqueue(m) {
+			c.recvStalled.Store(true)
+			return
+		}
+		delete(c.ooo, seq)
 	}
 }
 
-func (c *RUDPConn) sendAck() {
+// progress returns the ack owed by delivering [start, recvNext): the ack
+// is due when the delivered run crossed an ack boundary anywhere — not
+// only when it ended on one, which a burst of buffered frames delivering
+// at once can straddle without landing on. Short of a boundary, the
+// delayed-ack flush covers a quiescent tail within one monitor tick, well
+// inside the sender's RTO floor. Callers hold c.mu.
+func (c *RUDPConn) progress(start uint64) ackDue {
+	if c.recvNext == start {
+		return ackNone
+	}
+	c.tm.received.Add(c.recvNext - start)
+	if (c.recvNext-1)/rudpAckEvery > (start-1)/rudpAckEvery {
+		return ackNow
+	}
+	return ackDelayed
+}
+
+// resume moves frames held back by a full recvQ into the room the
+// application just made, and settles the acks their delivery earns.
+func (c *RUDPConn) resume() {
+	c.mu.Lock()
+	start := c.recvNext
+	c.drain()
+	due := c.progress(start)
+	c.mu.Unlock()
+	c.settle(due)
+}
+
+// takeAck records a cumulative ack of everything delivered so far and
+// returns its sequence. With onlyNew it records nothing and reports false
+// when the last ack sent already carried that sequence: a read batch's
+// coalesced ack must not add a duplicate the sender would count toward
+// fast retransmit.
+func (c *RUDPConn) takeAck(onlyNew bool) (uint64, bool) {
 	c.mu.Lock()
 	cum := c.recvNext - 1
-	c.acksSent++
 	c.ackPending = false
-	c.mu.Unlock()
-	data, err := (&Message{Kind: KindAck, Seq: cum}).Marshal()
-	if err == nil {
-		c.tm.acksSent.Inc()
-		_ = c.write(data)
+	if onlyNew && cum == c.lastAck {
+		c.mu.Unlock()
+		return cum, false
 	}
+	c.lastAck = cum
+	c.mu.Unlock()
+	c.tm.acksSent.Inc()
+	return cum, true
+}
+
+func (c *RUDPConn) sendAck() {
+	cum, _ := c.takeAck(false)
+	_ = c.sendHeader(KindAck, 0, cum)
 }
 
 // Probe measures one RTT sample by sending a probe (Stream 0) and waiting
 // for the peer's echo (Stream 1) carrying the same token.
 func (c *RUDPConn) Probe(timeout time.Duration) (time.Duration, error) {
 	token := uint64(time.Now().UnixNano())
-	data, err := (&Message{Kind: KindProbe, Seq: token}).Marshal()
-	if err != nil {
-		return 0, err
-	}
 	start := time.Now()
-	if err := c.write(data); err != nil {
+	if err := c.sendHeader(KindProbe, 0, token); err != nil {
 		return 0, err
 	}
 	deadline := time.NewTimer(timeout)

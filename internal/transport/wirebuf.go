@@ -18,7 +18,7 @@ import (
 // Across a WriteBatch/ReadBatch call the kernel copies the bytes during
 // the syscall, so ownership never transfers to the BatchConn: the caller
 // that filled the buffer still owns it when the call returns and decides
-// when it retires (an RUDP frame lives in the sender's unacked map until
+// when it retires (an RUDP frame lives in the sender's send window until
 // its cumulative ack; a relay copy dies once the pacer forwards it).
 
 // WireBuf is one pooled datagram buffer. B is the live contents; its
